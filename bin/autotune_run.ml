@@ -5,28 +5,26 @@
 open Cmdliner
 
 let run algorithm graph_path source workers budget seed =
-  let el = Graphs.Graph_io.load graph_path in
+  let csr = Graphs.Graph_io.load_csr graph_path in
   Parallel.Pool.with_pool ~num_workers:workers (fun pool ->
       let evaluate =
         match algorithm with
         | "sssp" ->
-            let graph = Graphs.Csr.of_edge_list el in
             fun schedule ->
               snd
                 (Support.Timer.time (fun () ->
-                     Algorithms.Sssp_delta.run ~pool ~graph ~schedule ~source ()))
+                     Algorithms.Sssp_delta.run ~pool ~graph:csr ~schedule ~source ()))
         | "kcore" ->
-            let graph = Graphs.Csr.of_edge_list (Graphs.Edge_list.symmetrized el) in
+            let graph = Graphs.Csr.symmetrize csr in
             fun schedule ->
               snd
                 (Support.Timer.time (fun () ->
                      Algorithms.Kcore.run ~pool ~graph ~schedule ()))
         | "widest" ->
-            let graph = Graphs.Csr.of_edge_list el in
             fun schedule ->
               snd
                 (Support.Timer.time (fun () ->
-                     Algorithms.Widest_path.run ~pool ~graph ~schedule ~source ()))
+                     Algorithms.Widest_path.run ~pool ~graph:csr ~schedule ~source ()))
         | other ->
             Printf.eprintf "unknown algorithm %S (sssp|kcore|widest)\n" other;
             exit 1

@@ -48,9 +48,8 @@ let describe s =
     (Schedule.traversal_to_string s.Schedule.traversal)
 
 let run algorithm graph_path source max_workers =
-  let el = Graphs.Graph_io.load graph_path in
-  let directed = Graphs.Csr.of_edge_list el in
-  let symmetric = lazy (Graphs.Csr.of_edge_list (Graphs.Edge_list.symmetrized el)) in
+  let directed = Graphs.Graph_io.load_csr graph_path in
+  let symmetric = lazy (Graphs.Csr.symmetrize directed) in
   let transpose = lazy (Graphs.Csr.transpose directed) in
   let oracle, run_one =
     match algorithm with

@@ -9,7 +9,6 @@
 module Pool = Parallel.Pool
 module Csr = Graphs.Csr
 module Handle = Graphs.Handle
-module Edge_list = Graphs.Edge_list
 module Schedule = Ordered.Schedule
 
 type app = Ppsp | Astar | Widest | Kcore
@@ -136,26 +135,20 @@ let of_line line =
 (* ------------------------------------------------------------------ *)
 (* Replay *)
 
-let load_edge_list path =
+let load_csr path =
   if not (Sys.file_exists path) then
     Error (Printf.sprintf "graph file not found: %s" path)
   else
-    try
-      Ok
-        (if Graphs.Graph_bin.is_graph_bin path then
-           Csr.to_edge_list (Graphs.Graph_bin.load_csr path)
-         else Graphs.Graph_io.load path)
-    with
+    try Ok (Graphs.Graph_io.load_csr path) with
     | Sys_error msg | Failure msg -> Error msg
     | Invalid_argument msg -> Error msg
 
 let run ?(oracle = Oracle.default) r =
-  let* el = load_edge_list r.graph_file in
-  let el = if r.symmetric then Edge_list.symmetrized el else el in
+  let* csr = load_csr r.graph_file in
   (* The peel needs the undirected closure whatever the server loaded;
      the service builds the same view internally. *)
-  let el = if r.app = Kcore then Edge_list.symmetrized el else el in
-  let handle = Handle.of_edge_list el in
+  let csr = if r.symmetric || r.app = Kcore then Csr.symmetrize csr else csr in
+  let handle = Handle.create csr in
   let graph = Handle.csr handle in
   let n = Csr.num_vertices graph in
   let range what v =

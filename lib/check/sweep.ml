@@ -210,10 +210,7 @@ let prepare ?(variant = default_variant) (case : Graph_case.t) =
     {
       p_case = case;
       p_directed = Handle.create ~kind:variant.layout csr;
-      p_symmetric =
-        lazy
-          (Handle.of_edge_list ~kind:variant.layout
-             (Edge_list.symmetrized case.Graph_case.el));
+      p_symmetric = lazy (Handle.create ~kind:variant.layout (Csr.symmetrize csr));
     }
 
 (* Run one (app, graph, schedule) point on [pool] and judge the result.

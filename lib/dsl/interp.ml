@@ -208,15 +208,14 @@ and eval_call state frame pos name args =
   | "load" -> (
       match values () with
       | [ V_string path ] -> (
-          match Graphs.Graph_io.load path with
-          | el -> V_edgeset (Csr.of_edge_list el)
-          | exception (Failure msg | Sys_error msg) ->
+          match Graphs.Graph_io.load_csr path with
+          | g -> V_edgeset g
+          | exception (Failure msg | Sys_error msg | Invalid_argument msg) ->
               error pos "load(%S) failed: %s" path msg)
       | _ -> error pos "load expects a path string")
   | "symmetrize" -> (
       match values () with
-      | [ V_edgeset g ] ->
-          V_edgeset (Csr.of_edge_list (Graphs.Edge_list.symmetrized (Csr.to_edge_list g)))
+      | [ V_edgeset g ] -> V_edgeset (Csr.symmetrize g)
       | _ -> error pos "symmetrize expects an edgeset")
   | "atoi" -> (
       match values () with

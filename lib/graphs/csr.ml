@@ -8,41 +8,12 @@ type t = {
   mutable degrees : int array option;
 }
 
+let of_rows n (offsets, targets, weights) = { n; offsets; targets; weights; degrees = None }
+
 let of_edge_list (el : Edge_list.t) =
   let n = el.Edge_list.num_vertices in
-  let edges = el.Edge_list.edges in
-  let m = Array.length edges in
-  let degrees = Array.make n 0 in
-  Array.iter (fun e -> degrees.(e.Edge_list.src) <- degrees.(e.Edge_list.src) + 1) edges;
-  let offsets = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    offsets.(u + 1) <- offsets.(u) + degrees.(u)
-  done;
-  let targets = Array.make m 0 in
-  let weights = Array.make m 0 in
-  let cursor = Array.copy offsets in
-  (* Stable fill, then sort each neighbor list by target id so lookups can
-     binary-search and traversals are cache-friendly. *)
-  Array.iter
-    (fun { Edge_list.src; dst; weight } ->
-      let slot = cursor.(src) in
-      targets.(slot) <- dst;
-      weights.(slot) <- weight;
-      cursor.(src) <- slot + 1)
-    edges;
-  for u = 0 to n - 1 do
-    let lo = offsets.(u) and hi = offsets.(u + 1) in
-    if hi - lo > 1 then begin
-      let pairs = Array.init (hi - lo) (fun i -> (targets.(lo + i), weights.(lo + i))) in
-      Array.sort compare pairs;
-      Array.iteri
-        (fun i (dst, w) ->
-          targets.(lo + i) <- dst;
-          weights.(lo + i) <- w)
-        pairs
-    end
-  done;
-  { n; offsets; targets; weights; degrees = None }
+  let src, dst, w = Edge_list.columns el in
+  of_rows n (Csr_build.build ~n ~dedup:false src dst w)
 
 let unsafe_of_arrays ~num_vertices ~offsets ~targets ~weights =
   if Array.length offsets <> num_vertices + 1 then
@@ -76,19 +47,17 @@ let edge_range g u = (g.offsets.(u), g.offsets.(u + 1))
 let edge_target g i = Array.unsafe_get g.targets i
 let edge_weight g i = Array.unsafe_get g.weights i
 
-let to_edge_list g =
-  let m = num_edges g in
-  let edges = Array.make m { Edge_list.src = 0; dst = 0; weight = 1 } in
-  let k = ref 0 in
-  for u = 0 to g.n - 1 do
-    for i = g.offsets.(u) to g.offsets.(u + 1) - 1 do
-      edges.(!k) <- { Edge_list.src = u; dst = g.targets.(i); weight = g.weights.(i) };
-      incr k
-    done
-  done;
-  { Edge_list.num_vertices = g.n; edges }
+let to_edge_list g = Edge_list.of_rows ~num_vertices:g.n (g.offsets, g.targets, g.weights)
 
-let transpose g = of_edge_list (Edge_list.reverse (to_edge_list g))
+let transpose g =
+  of_rows g.n (Csr_build.transpose ~n:g.n ~offsets:g.offsets ~targets:g.targets ~weights:g.weights)
+
+let symmetrize g =
+  let sources = Array.make (num_edges g) 0 in
+  for u = 0 to g.n - 1 do
+    Array.fill sources g.offsets.(u) (out_degree g u) u
+  done;
+  of_rows g.n (Csr_build.symmetrize ~n:g.n sources g.targets g.weights)
 
 let max_weight g = Array.fold_left max 0 g.weights
 

@@ -3,15 +3,16 @@
 
 type t
 
-(** [of_edge_list el] builds the CSR form with a counting sort; neighbor
-    lists are ordered by destination id. *)
+(** [of_edge_list el] builds the CSR form in linear time (two counting
+    passes); neighbor lists are ordered by destination id, parallel edges
+    by weight. *)
 val of_edge_list : Edge_list.t -> t
 
 (** [unsafe_of_arrays ~num_vertices ~offsets ~targets ~weights] adopts the
     flat arrays directly (the binary-format loader's fast path). Only array
     lengths and the final offset are validated: the caller promises that
     [offsets] is monotone and that every neighbor list is sorted by
-    destination id, as {!of_edge_list} would produce. *)
+    (destination id, weight), as {!of_edge_list} would produce. *)
 val unsafe_of_arrays :
   num_vertices:int ->
   offsets:int array ->
@@ -51,8 +52,14 @@ val edge_target : t -> int -> int
 
 val edge_weight : t -> int -> int
 
-(** [transpose g] reverses every edge (used by DensePull traversal). *)
+(** [transpose g] reverses every edge (used by DensePull traversal), in
+    one counting pass. *)
 val transpose : t -> t
+
+(** [symmetrize g] is the undirected closure, equal to
+    [of_edge_list (Edge_list.symmetrized (to_edge_list g))] but built
+    without edge records. *)
+val symmetrize : t -> t
 
 (** [to_edge_list g] recovers the edge list. *)
 val to_edge_list : t -> Edge_list.t

@@ -75,16 +75,17 @@ let apply (csr : Csr.t) (batch : batch) : Csr.t =
       Hashtbl.replace by_src s (op :: prev))
     batch;
   (* New adjacency per touched source: replay the ops in order against the
-     existing (dst, weight) list, then re-sort by target so the CSR
-     invariant (binary-searchable neighbor lists) survives mutation. *)
-  let touched : (int, (int * int) array) Hashtbl.t =
+     existing (dst, weight) list, then restore the (target, weight) order
+     so the CSR invariant (binary-searchable neighbor lists) survives
+     mutation. The list is kept reversed, so inserts land after the
+     sorted row and the insertion sort pays only for what the batch
+     moved. *)
+  let touched : (int, int array * int array) Hashtbl.t =
     Hashtbl.create (Hashtbl.length by_src)
   in
   Hashtbl.iter
     (fun u ops ->
-      let adj =
-        ref (List.rev (Csr.fold_out csr u (fun acc dst w -> (dst, w) :: acc) []))
-      in
+      let adj = ref (Csr.fold_out csr u (fun acc dst w -> (dst, w) :: acc) []) in
       List.iter
         (fun op ->
           match op with
@@ -93,15 +94,16 @@ let apply (csr : Csr.t) (batch : batch) : Csr.t =
           | Reweight { dst; weight; _ } ->
               adj := List.map (fun (d, w) -> if d = dst then (d, weight) else (d, w)) !adj)
         (List.rev ops);
-      let arr = Array.of_list !adj in
-      Array.sort compare arr;
-      Hashtbl.replace touched u arr)
+      let row = List.rev !adj in
+      let ts = Array.of_list (List.map fst row) and ws = Array.of_list (List.map snd row) in
+      Csr_build.sort_row ts ws 0 (Array.length ts);
+      Hashtbl.replace touched u (ts, ws))
     by_src;
   let offsets = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
     let deg =
       match Hashtbl.find_opt touched u with
-      | Some arr -> Array.length arr
+      | Some (ts, _) -> Array.length ts
       | None -> Csr.out_degree csr u
     in
     offsets.(u + 1) <- offsets.(u) + deg
@@ -115,12 +117,9 @@ let apply (csr : Csr.t) (batch : batch) : Csr.t =
   for u = 0 to n - 1 do
     let lo = offsets.(u) in
     match Hashtbl.find_opt touched u with
-    | Some arr ->
-        Array.iteri
-          (fun i (dst, w) ->
-            targets.(lo + i) <- dst;
-            weights.(lo + i) <- w)
-          arr
+    | Some (ts, ws) ->
+        Array.blit ts 0 targets lo (Array.length ts);
+        Array.blit ws 0 weights lo (Array.length ws)
     | None ->
         let old_lo = old_offsets.(u) in
         let deg = old_offsets.(u + 1) - old_lo in

@@ -23,42 +23,28 @@ let num_edges t = Array.length t.edges
 let map_weights f t =
   { t with edges = Array.map (fun e -> { e with weight = f e }) t.edges }
 
-let reverse t =
-  { t with edges = Array.map (fun e -> { e with src = e.dst; dst = e.src }) t.edges }
+let columns t =
+  ( Array.map (fun e -> e.src) t.edges,
+    Array.map (fun e -> e.dst) t.edges,
+    Array.map (fun e -> e.weight) t.edges )
 
-let compare_endpoints a b =
-  match compare a.src b.src with
-  | 0 -> (
-      match compare a.dst b.dst with
-      | 0 -> compare a.weight b.weight
-      | c -> c)
-  | c -> c
+let of_rows ~num_vertices (offsets, targets, weights) =
+  let edges = Array.make (Array.length targets) { src = 0; dst = 0; weight = 1 } in
+  for u = 0 to num_vertices - 1 do
+    for i = offsets.(u) to offsets.(u + 1) - 1 do
+      edges.(i) <- { src = u; dst = targets.(i); weight = weights.(i) }
+    done
+  done;
+  { num_vertices; edges }
 
-(* Sort by endpoints then sweep, keeping the cheapest copy of each parallel
-   edge and dropping self-loops. *)
-let dedup_edges edges =
-  let sorted = Array.copy edges in
-  Array.sort compare_endpoints sorted;
-  let out = ref [] in
-  let count = ref 0 in
-  Array.iter
-    (fun e ->
-      if e.src <> e.dst then
-        match !out with
-        | prev :: _ when prev.src = e.src && prev.dst = e.dst -> ()
-        | _ ->
-            out := e :: !out;
-            incr count)
-    sorted;
-  let result = Array.make !count { src = 0; dst = 0; weight = 1 } in
-  List.iteri (fun i e -> result.(!count - 1 - i) <- e) !out;
-  result
-
-let dedup t = { t with edges = dedup_edges t.edges }
+let dedup t =
+  let src, dst, w = columns t in
+  of_rows ~num_vertices:t.num_vertices
+    (Csr_build.build ~n:t.num_vertices ~dedup:true src dst w)
 
 let symmetrized t =
-  let flipped = Array.map (fun e -> { e with src = e.dst; dst = e.src }) t.edges in
-  { t with edges = dedup_edges (Array.append t.edges flipped) }
+  let src, dst, w = columns t in
+  of_rows ~num_vertices:t.num_vertices (Csr_build.symmetrize ~n:t.num_vertices src dst w)
 
 let concat a b =
   if a.num_vertices <> b.num_vertices then

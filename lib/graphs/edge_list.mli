@@ -22,17 +22,22 @@ val num_edges : t -> int
 (** [map_weights f t] applies [f] to every edge's weight. *)
 val map_weights : (edge -> int) -> t -> t
 
-(** [reverse t] flips every edge. *)
-val reverse : t -> t
+(** [columns t] is [(src, dst, weight)] as three unboxed arrays, in edge
+    order. *)
+val columns : t -> int array * int array * int array
+
+(** [of_rows ~num_vertices (offsets, targets, weights)] lists the edges
+    of CSR arrays row by row. *)
+val of_rows : num_vertices:int -> int array * int array * int array -> t
 
 (** [symmetrized t] is the undirected closure: both directions of every edge,
     parallel edges deduplicated keeping the minimum weight, self-loops
     dropped. This matches the paper's symmetrization for k-core and
-    SetCover. *)
+    SetCover. Edges come out sorted by (src, dst). *)
 val symmetrized : t -> t
 
 (** [dedup t] removes parallel edges (keeping minimum weight) and
-    self-loops. *)
+    self-loops; edges come out sorted by (src, dst). *)
 val dedup : t -> t
 
 (** [concat a b] merges two edge lists over the same vertex universe. *)

@@ -127,5 +127,18 @@ let read_coords path =
                 (Array.length xs));
   Coords.create xs ys
 
-let load path =
-  if Filename.check_suffix path ".gr" then read_dimacs path else read_edge_list path
+(* The text format from the first non-blank line: the edge-list header
+   starts with '#', while DIMACS opens with 'c' comments or 'p sp'. *)
+let is_edge_list path =
+  with_in path (fun ic ->
+      let rec first () =
+        match input_line ic with
+        | exception End_of_file -> true
+        | line -> ( match String.trim line with "" -> first () | l -> l.[0] = '#')
+      in
+      first ())
+
+let load path = if is_edge_list path then read_edge_list path else read_dimacs path
+
+let load_csr path =
+  if Graph_bin.is_graph_bin path then Graph_bin.load_csr path else Csr.of_edge_list (load path)

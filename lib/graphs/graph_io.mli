@@ -29,6 +29,13 @@ val write_coords : string -> Coords.t -> unit
 
 val read_coords : string -> Coords.t
 
-(** [load path] dispatches on extension: [.gr] loads DIMACS, anything else
-    the simple edge-list format. This is the [load] intrinsic of the DSL. *)
+(** [load path] reads either text format, told apart by content rather
+    than file name: a first non-blank line starting with ['#'] is the
+    edge-list header, anything else is DIMACS. This is the [load]
+    intrinsic of the DSL. *)
 val load : string -> Edge_list.t
+
+(** [load_csr path] is the entry point for every graph input: a GRAPHBIN
+    binary (sniffed by its magic bytes) loads straight into a CSR, and
+    either text format goes through {!load}. *)
+val load_csr : string -> Csr.t

@@ -1,10 +1,10 @@
 (* A graph plus every derived form the engines keep re-deriving.
 
-   Before this existed, each run rebuilt the transpose (an O(m log m)
-   counting sort) and each compressed sweep would have re-encoded the
-   byte streams. The handle owns one lazy cell per derived form, so a
-   checker sweeping hundreds of schedules over one graph pays for each
-   conversion exactly once. Lazy cells are forced from the orchestrating
+   Before this existed, each run rebuilt the transpose (a linear
+   counting pass, but one per run) and each compressed sweep would have
+   re-encoded the byte streams. The handle owns one lazy cell per
+   derived form, so a checker sweeping hundreds of schedules over one
+   graph pays for each conversion exactly once. Lazy cells are forced from the orchestrating
    thread (engine setup, never inside a parallel episode), so the
    non-thread-safety of [Lazy] is not a hazard here. *)
 
@@ -29,7 +29,6 @@ let create ?(kind = Layout.Plain) ?(version = 0) csr =
       lazy (Csr_compressed.of_csr (Lazy.force transpose_csr));
   }
 
-let of_edge_list ?kind ?version el = create ?kind ?version (Csr.of_edge_list el)
 let csr t = t.csr
 let kind t = t.kind
 let version t = t.version

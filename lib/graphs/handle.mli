@@ -21,8 +21,6 @@ type t
     from (the stale-cache hazard). *)
 val create : ?kind:Layout.kind -> ?version:int -> Csr.t -> t
 
-val of_edge_list : ?kind:Layout.kind -> ?version:int -> Edge_list.t -> t
-
 (** The plain CSR, always available without decoding. *)
 val csr : t -> Csr.t
 

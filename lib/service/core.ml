@@ -552,7 +552,9 @@ let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn
       ~queue_wait_ms:((start -. m.enqueued_at) *. 1000.)
       ~alt_assisted:false ~version
   in
-  let resolve ~final =
+  (* [final] is how the engine ended: [`Running] at a round boundary,
+     [`Exhausted] with exact values, [`Timed_out] with only bounds. *)
+  let resolve final =
     pending :=
       List.filter
         (fun (m, tgt) ->
@@ -566,35 +568,40 @@ let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn
                  ~id:m.req.Protocol.id (value_json tgt));
             false
           end
-          else if final || dist_ready tgt then begin
+          else if final = `Exhausted || dist_ready tgt then begin
             answer m
               (Protocol.ok
                  ~meta:(mk_meta ~version ~width ~rounds:!rounds m)
                  ~id:m.req.Protocol.id (value_json tgt));
             false
           end
-          else
-            match m.deadline with
-            | Some dl when Deadline.expired dl ->
-                Metrics.incr t.m_deadline_miss ~tid:0 ();
-                answer m
-                  (Protocol.partial
-                     ~meta:(mk_meta ~version ~width ~rounds:!rounds m)
-                     ~id:m.req.Protocol.id (value_json tgt));
-                false
-            | _ -> true)
+          else if
+            final = `Timed_out
+            || match m.deadline with Some dl -> Deadline.expired dl | None -> false
+          then begin
+            Metrics.incr t.m_deadline_miss ~tid:0 ();
+            answer m
+              (Protocol.partial
+                 ~meta:(mk_meta ~version ~width ~rounds:!rounds m)
+                 ~id:m.req.Protocol.id (value_json tgt));
+            false
+          end
+          else true)
         !pending
   in
   let stop () =
     incr rounds;
-    resolve ~final:false;
+    resolve `Running;
     !pending = []
   in
+  let timed_out = ref false in
   let run () =
-    ignore
-      (Engine.run ~pool:t.pool ~graph ~handle:snapshot
-         ~schedule:t.config.Config.schedule ~pq ~edge_fn ~stop ~on_round
-         ?deadline:(run_deadline members) ())
+    let stats =
+      Engine.run ~pool:t.pool ~graph ~handle:snapshot
+        ~schedule:t.config.Config.schedule ~pq ~edge_fn ~stop ~on_round
+        ?deadline:(run_deadline members) ()
+    in
+    timed_out := stats.Ordered.Stats.timed_out
   in
   let _, seconds =
     Support.Timer.time (fun () ->
@@ -602,10 +609,11 @@ let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn
             with_batch_context t ~batch_trace members run))
   in
   Metrics.observe t.h_batch_run seconds;
-  (* Queue exhausted (or run-level deadline): whatever is left is final —
-     for monotone queries the vector now holds the true values, or the
-     best bounds the deadline allowed. *)
-  resolve ~final:true
+  (* Whatever is left is final. An exhausted queue leaves the true
+     values. A run-level deadline can expire between the last round
+     boundary's check and the engine's own, so its leftovers carry only
+     the best bounds the deadline allowed, and reply partial. *)
+  resolve (if !timed_out then `Timed_out else `Exhausted)
 
 let run_sssp_group t ~source members =
   with_snapshot t (fun snapshot ->
@@ -769,12 +777,7 @@ let run_kcore_group t members =
         match t.kcore_handle with
         | Some (v, h) when v = version -> h
         | _ ->
-            let h =
-              Handle.create ~version
-                (Csr.of_edge_list
-                   (Edge_list.symmetrized
-                      (Csr.to_edge_list (Handle.csr snapshot))))
-            in
+            let h = Handle.create ~version (Csr.symmetrize (Handle.csr snapshot)) in
             t.kcore_handle <- Some (version, h);
             h
       in

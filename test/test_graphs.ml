@@ -10,6 +10,7 @@ module Reorder = Graphs.Reorder
 module Rng = Support.Rng
 
 let edge src dst weight = { Edge_list.src; dst; weight }
+let rows g = (Csr.offsets g, Csr.targets g, Csr.weights g)
 
 let test_edge_list_validation () =
   Alcotest.check_raises "endpoint range"
@@ -175,6 +176,33 @@ let test_io_dimacs_roundtrip () =
       let el2 = Graph_io.read_dimacs path in
       Alcotest.(check bool) "edges preserved" true (el.Edge_list.edges = el2.Edge_list.edges))
 
+(* graph_gen writes the '# n m' edge-list format whatever the file is
+   called, so each format must load by its content, not its suffix. *)
+let test_io_load_sniffs_content () =
+  let el, _ = Generators.road_grid ~rng:(Rng.create 4) ~rows:4 ~cols:5 () in
+  let g = Csr.of_edge_list el in
+  let in_file suffix write check =
+    let path = Filename.temp_file "graphit_test" suffix in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        write path;
+        check path)
+  in
+  in_file ".gr" (fun p -> Graph_io.write_edge_list p el) (fun path ->
+      Alcotest.(check bool) "edge list named .gr" true
+        ((Graph_io.load path).Edge_list.edges = el.Edge_list.edges);
+      Alcotest.(check bool) "edge list named .gr, as CSR" true (rows (Graph_io.load_csr path) = rows g));
+  in_file ".txt" (fun p -> Graph_io.write_dimacs p el) (fun path ->
+      Alcotest.(check bool) "DIMACS named .txt" true (rows (Graph_io.load_csr path) = rows g));
+  in_file ".gr"
+    (fun p -> Out_channel.with_open_text p (fun oc -> output_string oc "c road\n\np sp 2 1\na 1 2 3\n"))
+    (fun path ->
+      Alcotest.(check bool) "DIMACS opening with a comment" true
+        ((Graph_io.load path).Edge_list.edges = [| edge 0 1 3 |]));
+  in_file ".gr" (fun p -> Graph_bin.save p g) (fun path ->
+      Alcotest.(check bool) "GRAPHBIN named .gr" true (rows (Graph_io.load_csr path) = rows g))
+
 let test_io_coords_roundtrip () =
   with_temp_file (fun path ->
       let c = Coords.create [| 0.5; 1.25 |] [| -3.0; 7.5 |] in
@@ -216,6 +244,126 @@ let qcheck_symmetrized_is_symmetric =
         Csr.iter_out g u (fun v _ -> if not (Csr.mem_edge g v u) then ok := false)
       done;
       !ok)
+
+(* ---- construction: the builder against a naive reference ---- *)
+
+(* Edge lists biased toward what the builder must get right: parallel
+   edges with differing weights, self-loops, a hub (vertex 0), empty
+   rows, n = 1 and m = 0. *)
+let gen_edge_list =
+  let open QCheck.Gen in
+  let* n = frequency [ (1, return 1); (4, int_range 2 12) ] in
+  let* m = frequency [ (1, return 0); (4, int_bound 60) ] in
+  let vertex = frequency [ (1, return 0); (2, int_bound (n - 1)) ] in
+  let weight = int_range 1 5 in
+  let rec go acc k =
+    if k = 0 then return (Edge_list.create ~num_vertices:n (Array.of_list acc))
+    else
+      let fresh = map3 edge vertex vertex weight in
+      let* e =
+        if acc = [] then fresh
+        else
+          frequency
+            [
+              (3, fresh);
+              (2, map2 (fun e w -> { e with Edge_list.weight = w }) (oneofl acc) weight);
+              (1, map2 (fun v w -> edge v v w) vertex weight);
+            ]
+      in
+      go (e :: acc) (k - 1)
+  in
+  go [] m
+
+let print_edge_list el =
+  Printf.sprintf "n=%d [%s]" el.Edge_list.num_vertices
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun e -> Printf.sprintf "%d->%d:%d" e.Edge_list.src e.Edge_list.dst e.Edge_list.weight)
+             el.Edge_list.edges)))
+
+let arb_edge_list = QCheck.make ~print:print_edge_list gen_edge_list
+let triples el = Array.to_list (Array.map (fun e -> Edge_list.(e.src, e.dst, e.weight)) el.Edge_list.edges)
+let flipped ts = List.map (fun (s, d, w) -> (d, s, w)) ts
+
+(* One polymorphic sort of (src, dst, weight) triples, cut into rows. *)
+let reference_rows n ts =
+  let sorted = List.sort compare ts in
+  let offsets = Array.make (n + 1) 0 in
+  List.iter (fun (s, _, _) -> offsets.(s + 1) <- offsets.(s + 1) + 1) sorted;
+  for v = 1 to n do
+    offsets.(v) <- offsets.(v) + offsets.(v - 1)
+  done;
+  ( offsets,
+    Array.of_list (List.map (fun (_, d, _) -> d) sorted),
+    Array.of_list (List.map (fun (_, _, w) -> w) sorted) )
+
+(* Distinct non-loop endpoint pairs, each with its minimum weight. *)
+let reference_dedup ts =
+  List.sort_uniq compare (List.filter_map (fun (s, d, _) -> if s <> d then Some (s, d) else None) ts)
+  |> List.map (fun (s, d) ->
+         (s, d, List.fold_left (fun acc (s', d', w) -> if (s', d') = (s, d) then min acc w else acc) max_int ts))
+
+let qcheck_construction_matches_reference =
+  QCheck.Test.make ~name:"construction matches the sort reference" ~count:500 arb_edge_list
+    (fun el ->
+      let n = el.Edge_list.num_vertices and ts = triples el in
+      let g = Csr.of_edge_list el in
+      rows g = reference_rows n ts
+      && rows (Csr.transpose g) = reference_rows n (flipped ts)
+      && rows (Csr.symmetrize g) = reference_rows n (reference_dedup (ts @ flipped ts))
+      && triples (Edge_list.dedup el) = reference_dedup ts
+      && triples (Edge_list.symmetrized el) = reference_dedup (ts @ flipped ts)
+      && rows (Csr.symmetrize g)
+         = rows (Csr.of_edge_list (Edge_list.symmetrized (Csr.to_edge_list g)))
+      && rows (Csr.transpose (Csr.transpose g)) = rows g)
+
+(* A batch over [el]'s vertices; half the ops name an existing edge, so
+   deletes and reweights hit parallel copies. *)
+let gen_graph_and_batch =
+  let open QCheck.Gen in
+  let* el = gen_edge_list in
+  let n = el.Edge_list.num_vertices in
+  let pair =
+    if Edge_list.num_edges el = 0 then pair (int_bound (n - 1)) (int_bound (n - 1))
+    else
+      frequency
+        [
+          (1, pair (int_bound (n - 1)) (int_bound (n - 1)));
+          (1, map (fun e -> Edge_list.(e.src, e.dst)) (oneofa el.Edge_list.edges));
+        ]
+  in
+  let op =
+    let* src, dst = pair in
+    let* weight = int_range 1 5 in
+    oneofl
+      [
+        Graphs.Delta.Insert { src; dst; weight };
+        Graphs.Delta.Delete { src; dst };
+        Graphs.Delta.Reweight { src; dst; weight };
+      ]
+  in
+  let* batch = array_size (int_bound 12) op in
+  return (el, batch)
+
+let qcheck_delta_apply_matches_rebuild =
+  QCheck.Test.make ~name:"Delta.apply = rebuild of the mutated edges" ~count:300
+    (QCheck.make
+       ~print:(fun (el, batch) -> print_edge_list el ^ " + " ^ Graphs.Delta.to_string batch)
+       gen_graph_and_batch)
+    (fun (el, batch) ->
+      let mutated =
+        Array.fold_left
+          (fun ts op ->
+            match op with
+            | Graphs.Delta.Insert { src; dst; weight } -> ts @ [ (src, dst, weight) ]
+            | Delete { src; dst } -> List.filter (fun (s, d, _) -> (s, d) <> (src, dst)) ts
+            | Reweight { src; dst; weight } ->
+                List.map (fun (s, d, w) -> if (s, d) = (src, dst) then (s, d, weight) else (s, d, w)) ts)
+          (triples el) batch
+      in
+      rows (Graphs.Delta.apply (Csr.of_edge_list el) batch)
+      = reference_rows el.Edge_list.num_vertices mutated)
 
 let random_graph seed ~n ~m =
   let rng = Rng.create seed in
@@ -376,6 +524,8 @@ let () =
           Alcotest.test_case "roundtrip/transpose" `Quick
             test_csr_roundtrip_and_transpose;
           QCheck_alcotest.to_alcotest qcheck_csr_degree_sum;
+          QCheck_alcotest.to_alcotest qcheck_construction_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_delta_apply_matches_rebuild;
         ] );
       ( "generators",
         [
@@ -388,6 +538,7 @@ let () =
         [
           Alcotest.test_case "edge list roundtrip" `Quick test_io_edge_list_roundtrip;
           Alcotest.test_case "dimacs roundtrip" `Quick test_io_dimacs_roundtrip;
+          Alcotest.test_case "load sniffs content" `Quick test_io_load_sniffs_content;
           Alcotest.test_case "coords roundtrip" `Quick test_io_coords_roundtrip;
           Alcotest.test_case "malformed input" `Quick test_io_malformed;
         ] );
