@@ -20,8 +20,8 @@ type backend =
   | Lazy_backend of {
       buckets : Lazy_buckets.t;
       buffer : Update_buffer.t;
-      histogram : Histogram.t option;
-      scratch : int array;
+      histogram : (Histogram.t * int array) option;
+          (* with the n-word scratch its flush reduces into *)
     }
   | Eager_backend of Eager_buckets.t
 
@@ -72,7 +72,7 @@ let create ~schedule ~num_workers ~direction ~allow_coarsening ~priorities ~init
                 invalid_arg
                   "Priority_queue.create: lazy_constant_sum requires \
                    constant_sum_delta";
-              Some (Histogram.create ~num_workers ())
+              Some (Histogram.create ~num_workers (), Array.make num_vertices 0)
           | _ -> None
         in
         Lazy_backend
@@ -84,7 +84,6 @@ let create ~schedule ~num_workers ~direction ~allow_coarsening ~priorities ~init
                 ();
             buffer = Update_buffer.create ~num_vertices ~num_workers ();
             histogram;
-            scratch = Array.make num_vertices 0;
           }
   in
   let t =
@@ -122,7 +121,7 @@ let representative t = Bucket_order.representative_priority ~direction:t.directi
 (* Apply the buffered constant-sum updates (Fig. 10 of the paper): vertices
    at or below the current priority are finalized and must not move; the
    rest drop by [diff * count], clamped at the current bucket. *)
-let flush_histogram t buckets histogram scratch =
+let flush_histogram t buckets (histogram, scratch) =
   match t.constant_sum_delta with
   | None -> ()
   | Some diff ->
@@ -141,12 +140,12 @@ let flush_histogram t buckets histogram scratch =
 
 let compute_next t =
   match t.backend with
-  | Lazy_backend { buckets; buffer; histogram; scratch } -> (
+  | Lazy_backend { buckets; buffer; histogram } -> (
       (* The bulk bucket update of Fig. 5 (lines 12-13): the per-round
          "update" phase the observability layer records. *)
       Observe.Span.with_ "pq.bulk_update" (fun () ->
           (match histogram with
-          | Some h -> flush_histogram t buckets h scratch
+          | Some h -> flush_histogram t buckets h
           | None -> ());
           (* The insert sweep is inherently sequential, but with a pool the
              buffer copy and flag resets run one segment per worker. *)
@@ -240,7 +239,7 @@ let update_priority_max t ctx v value =
 
 let update_priority_sum t ctx v ~diff ~floor =
   match t.backend with
-  | Lazy_backend { histogram = Some h; _ } ->
+  | Lazy_backend { histogram = Some (h, _); _ } ->
       (match t.constant_sum_delta with
       | Some expected when expected <> diff ->
           invalid_arg
@@ -275,7 +274,7 @@ let set_priority t ctx v value =
 
 let constant_sum_recorder t =
   match t.backend with
-  | Lazy_backend { histogram = Some h; _ } ->
+  | Lazy_backend { histogram = Some (h, _); _ } ->
       Some (fun ~tid v -> Histogram.record h ~tid v)
   | Lazy_backend { histogram = None; _ } | Eager_backend _ -> None
 

@@ -1,54 +1,58 @@
-(* OCaml 5.1 has no flat atomic int array primitive, so each cell is a
-   boxed [int Atomic.t] (a 2-word block). Two layout decisions reclaim most
-   of the cost of that representation:
+(* One flat, unboxed [int array] holds every cell, as in the paper's
+   generated C++: reads and plain sets are ordinary array accesses, and
+   the two read-modify-write primitives are word-sized hardware atomics
+   run in place by a [noalloc] C stub (atomic_array_stubs.c). OCaml ints
+   are immediates, so no write barrier is involved. The other updates
+   ([fetch_min], [fetch_max], [add_with_floor]) are CAS retry loops.
+   The .mli says why plain reads racing with CAS writes are safe.
 
-   - [make] allocates all cells in one tight loop, so they sit back-to-back
-     on the heap in index order: a scan over [i, i+1, ...] touches
-     consecutive cache lines (4 cells per 64-byte line) instead of chasing
-     pointers to scattered boxes;
-   - [make_padded] spaces the *used* cells a cache line apart (by
-     interleaving never-read spacer cells in the same allocation stream),
-     for small fetch_add-heavy counter arrays indexed by worker id, where
-     4-cells-per-line is false sharing, not locality.
+   [make_padded] spaces the used cells a cache line apart (8 words per
+   64-byte line), for small fetch_add-heavy counter arrays indexed by
+   worker id, where dense cells would be false sharing.
 
    Access discipline: every public operation bounds-checks its index once
-   (in [cell]) and then runs on the unboxed cell reference — CAS retry
-   loops never re-index the array, and bulk operations use [unsafe_get]
-   inside their loops. *)
+   (in [slot]); CAS retry loops and bulk operations then work on the raw
+   cell index. *)
 
 type t = {
-  cells : int Atomic.t array;
+  cells : int array;
   length : int;
   shift : int; (* cell index of logical [i] is [i lsl shift] *)
   id : int; (* allocation order, names the array in race findings *)
   shadow : int array Atomic.t; (* race-mode per-slot (episode, tid) tags *)
 }
 
-(* cells/line: an Atomic.t box is 2 words, a cache line holds 4 of them. *)
-let pad_shift = 2
+external cas : int array -> int -> int -> int -> bool = "graphit_atomic_cas"
+[@@noalloc]
+
+external fetch_and_add : int array -> int -> int -> int
+  = "graphit_atomic_fetch_add"
+[@@noalloc]
+
+(* cells/line: 8 words per 64-byte cache line. *)
+let pad_shift = 3
 
 let next_id = Atomic.make 0
 
-let alloc ~shift n v =
-  let cells = Array.init (n lsl shift) (fun _ -> Atomic.make v) in
+let alloc ~shift cells length =
   {
     cells;
-    length = n;
+    length;
     shift;
     id = Atomic.fetch_and_add next_id 1;
     shadow = Atomic.make [||];
   }
 
-let make n v = alloc ~shift:0 n v
-let make_padded n v = alloc ~shift:pad_shift n v
+let make n v = alloc ~shift:0 (Array.make n v) n
+let make_padded n v = alloc ~shift:pad_shift (Array.make (n lsl pad_shift) v) n
 let length a = a.length
 let id a = a.id
 
-let[@inline] cell a i =
+let[@inline] slot a i =
   if i < 0 || i >= a.length then invalid_arg "Atomic_array: index out of bounds";
-  Array.unsafe_get a.cells (i lsl a.shift)
+  i lsl a.shift
 
-let get a i = Atomic.get (cell a i)
+let get a i = Array.unsafe_get a.cells (slot a i)
 
 (* Race-mode shadow tracking for plain [set]. Tags pack as
    [(episode lsl 8) lor tid]; a previous tag from the *same* episode with
@@ -84,64 +88,61 @@ let[@inline never] track_set a i =
   shadow.(i) <- tag
 
 let set a i v =
-  Atomic.set (cell a i) v;
+  Array.unsafe_set a.cells (slot a i) v;
   if Race.enabled () then track_set a i
 
 let compare_and_set a i ~expected ~desired =
-  Atomic.compare_and_set (cell a i) expected desired
+  cas a.cells (slot a i) expected desired
 
 let fetch_min a i v =
-  let c = cell a i in
+  let c = slot a i in
   let rec retry () =
-    let cur = Atomic.get c in
+    let cur = Array.unsafe_get a.cells c in
     if v >= cur then false
-    else if Atomic.compare_and_set c cur v then true
+    else if cas a.cells c cur v then true
     else retry ()
   in
   retry ()
 
 let fetch_max a i v =
-  let c = cell a i in
+  let c = slot a i in
   let rec retry () =
-    let cur = Atomic.get c in
+    let cur = Array.unsafe_get a.cells c in
     if v <= cur then false
-    else if Atomic.compare_and_set c cur v then true
+    else if cas a.cells c cur v then true
     else retry ()
   in
   retry ()
 
-let fetch_add a i d = Atomic.fetch_and_add (cell a i) d
+let fetch_add a i d = fetch_and_add a.cells (slot a i) d
 
 let add_with_floor a i ~delta ~floor =
-  let c = cell a i in
+  let c = slot a i in
   let rec retry () =
-    let cur = Atomic.get c in
+    let cur = Array.unsafe_get a.cells c in
     (* A decrement must leave values already at or below the floor untouched
        (clamping them *up* to the floor would un-finalize peeled vertices). *)
     if delta < 0 && cur <= floor then None
     else begin
       let target = max floor (cur + delta) in
       if target = cur then None
-      else if Atomic.compare_and_set c cur target then Some (cur, target)
+      else if cas a.cells c cur target then Some (cur, target)
       else retry ()
     end
   in
   retry ()
 
 let to_array a =
-  Array.init a.length (fun i ->
-      Atomic.get (Array.unsafe_get a.cells (i lsl a.shift)))
+  if a.shift = 0 then Array.copy a.cells
+  else Array.init a.length (fun i -> Array.unsafe_get a.cells (i lsl a.shift))
 
-let of_array src =
-  let a = alloc ~shift:0 (Array.length src) 0 in
-  Array.iteri (fun i v -> Atomic.set (Array.unsafe_get a.cells i) v) src;
-  a
+let of_array src = alloc ~shift:0 (Array.copy src) (Array.length src)
 
 let blit_from a src =
   if a.length <> Array.length src then
     invalid_arg "Atomic_array.blit_from: length mismatch";
-  for i = 0 to a.length - 1 do
-    Atomic.set
-      (Array.unsafe_get a.cells (i lsl a.shift))
-      (Array.unsafe_get src i)
-  done
+  if a.shift = 0 then Array.blit src 0 a.cells 0 a.length
+  else
+    for i = 0 to a.length - 1 do
+      Array.unsafe_set a.cells (i lsl a.shift) (Array.unsafe_get src i)
+    done

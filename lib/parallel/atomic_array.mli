@@ -2,20 +2,30 @@
 
     This is the OCaml counterpart of the [CAS]/[writeMin]/[fetch_add]
     primitives the paper's generated C++ uses on distance and degree arrays
-    (Figure 2 and Figure 9). Cells are [Atomic.t] values, so concurrent
-    updates from multiple domains are sequentially consistent. *)
+    (Figure 2 and Figure 9), and it has the same layout: the cells are one
+    flat, unboxed [int array]. {!compare_and_set} and {!fetch_add} are
+    sequentially consistent hardware atomics on the cell; {!get} and
+    {!set} are plain word accesses.
+
+    {b Why plain reads may race with CAS writes.} Within one parallel
+    episode ([Pool.run_workers]) every cell moves monotonically: down
+    under {!fetch_min}, up under {!fetch_max}, toward the floor under
+    {!add_with_floor}, and only by the owner under {!set}. A stale read
+    can therefore only make the next CAS fail and retry, or skip an update
+    that a fresher read would also have skipped. Phase changes (say, from
+    relaxing distances to reading them back) pass the pool's barrier,
+    which orders every write of the episode before every read after it. *)
 
 type t
 
-(** [make n v] is an array of [n] cells, all holding [v]. The cells are
-    allocated back-to-back in index order, so sequential scans have array
-    locality despite the boxed representation. *)
+(** [make n v] is an array of [n] cells, all holding [v]. It allocates
+    the [n] words and a constant-size header, nothing per cell. *)
 val make : int -> int -> t
 
 (** [make_padded n v] is {!make} with each cell on its own cache line. Use
     for small, contention-heavy counter arrays (per-worker [fetch_add]
-    slots), where packing 4 cells per line causes false sharing; never for
-    per-vertex vectors, where density is what matters. *)
+    slots), where dense cells cause false sharing; never for per-vertex
+    vectors, where density is what matters. *)
 val make_padded : int -> int -> t
 
 (** [length a] is the cell count. *)

@@ -514,13 +514,22 @@ let run_deadline members =
 (* ------------------------------------------------------------------ *)
 (* Group runners                                                       *)
 
+(* One point run's engine state: [ready tgt] decides finalization,
+   [value_json tgt] reads the current answer. *)
+type point_run = {
+  pq : Pq.t;
+  edge_fn : Engine.edge_fn;
+  ready : int -> bool;
+  value_json : int -> Json.t;
+}
+
 (* Shared shape of the sssp/widest group runners: one engine run from
    [source]; each member resolves at a round boundary — exact once
-   [finished_vertex] holds for its target, partial the moment its own
-   deadline expires. [value_of] reads the member's current answer,
-   [done_ tgt] decides finalization. *)
-let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn
-    ~graph =
+   [ready] holds for its target, partial the moment its own deadline
+   expires. [setup] builds the per-query arrays and queue inside the
+   timed batch run, so [service.batch_run] covers the same layers as
+   the A* group's. *)
+let run_point_group t members ~snapshot ~graph ~setup =
   let width = List.length members in
   let version = Handle.version snapshot in
   let batch_trace = next_trace t in
@@ -554,7 +563,7 @@ let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn
   in
   (* [final] is how the engine ended: [`Running] at a round boundary,
      [`Exhausted] with exact values, [`Timed_out] with only bounds. *)
-  let resolve final =
+  let resolve p final =
     pending :=
       List.filter
         (fun (m, tgt) ->
@@ -565,14 +574,14 @@ let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn
             answer m
               (Protocol.cancelled
                  ~meta:(mk_meta ~version ~width ~rounds:!rounds m)
-                 ~id:m.req.Protocol.id (value_json tgt));
+                 ~id:m.req.Protocol.id (p.value_json tgt));
             false
           end
-          else if final = `Exhausted || dist_ready tgt then begin
+          else if final = `Exhausted || p.ready tgt then begin
             answer m
               (Protocol.ok
                  ~meta:(mk_meta ~version ~width ~rounds:!rounds m)
-                 ~id:m.req.Protocol.id (value_json tgt));
+                 ~id:m.req.Protocol.id (p.value_json tgt));
             false
           end
           else if
@@ -583,27 +592,27 @@ let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn
             answer m
               (Protocol.partial
                  ~meta:(mk_meta ~version ~width ~rounds:!rounds m)
-                 ~id:m.req.Protocol.id (value_json tgt));
+                 ~id:m.req.Protocol.id (p.value_json tgt));
             false
           end
           else true)
         !pending
   in
-  let stop () =
-    incr rounds;
-    resolve `Running;
-    !pending = []
-  in
-  let timed_out = ref false in
   let run () =
+    let p = setup () in
+    let stop () =
+      incr rounds;
+      resolve p `Running;
+      !pending = []
+    in
     let stats =
       Engine.run ~pool:t.pool ~graph ~handle:snapshot
-        ~schedule:t.config.Config.schedule ~pq ~edge_fn ~stop ~on_round
-        ?deadline:(run_deadline members) ()
+        ~schedule:t.config.Config.schedule ~pq:p.pq ~edge_fn:p.edge_fn ~stop
+        ~on_round ?deadline:(run_deadline members) ()
     in
-    timed_out := stats.Ordered.Stats.timed_out
+    (p, stats.Ordered.Stats.timed_out)
   in
-  let _, seconds =
+  let (p, timed_out), seconds =
     Support.Timer.time (fun () ->
         Span.with_ "service.batch" (fun () ->
             with_batch_context t ~batch_trace members run))
@@ -613,51 +622,59 @@ let run_point_group t members ~snapshot ~pq ~dist_ready ~value_json ~edge_fn
      values. A run-level deadline can expire between the last round
      boundary's check and the engine's own, so its leftovers carry only
      the best bounds the deadline allowed, and reply partial. *)
-  resolve (if !timed_out then `Timed_out else `Exhausted)
+  resolve p (if timed_out then `Timed_out else `Exhausted)
 
 let run_sssp_group t ~source members =
   with_snapshot t (fun snapshot ->
       let graph = Handle.csr snapshot in
-      let n = Csr.num_vertices graph in
-      let dist = Atomic_array.make n null in
-      Atomic_array.set dist source 0;
-      let pq =
-        Pq.create ~schedule:t.config.Config.schedule
-          ~num_workers:(Pool.num_workers t.pool)
-          ~direction:Bucket_order.Lower_first ~allow_coarsening:true
-          ~priorities:dist ~initial:(Pq.Start_vertex source) ~pool:t.pool ()
-      in
-      let edge_fn ctx ~src ~dst ~weight =
-        let new_dist = Atomic_array.get dist src + weight in
-        Pq.update_priority_min pq ctx dst new_dist
-      in
-      run_point_group t members ~snapshot ~pq ~graph ~edge_fn
-        ~dist_ready:(fun tgt ->
-          Atomic_array.get dist tgt <> null && Pq.finished_vertex pq tgt)
-        ~value_json:(fun tgt ->
-          Protocol.distance_json (Atomic_array.get dist tgt)))
+      run_point_group t members ~snapshot ~graph ~setup:(fun () ->
+          let dist = Atomic_array.make (Csr.num_vertices graph) null in
+          Atomic_array.set dist source 0;
+          let pq =
+            Pq.create ~schedule:t.config.Config.schedule
+              ~num_workers:(Pool.num_workers t.pool)
+              ~direction:Bucket_order.Lower_first ~allow_coarsening:true
+              ~priorities:dist ~initial:(Pq.Start_vertex source) ~pool:t.pool
+              ()
+          in
+          {
+            pq;
+            edge_fn =
+              (fun ctx ~src ~dst ~weight ->
+                let new_dist = Atomic_array.get dist src + weight in
+                Pq.update_priority_min pq ctx dst new_dist);
+            ready =
+              (fun tgt ->
+                Atomic_array.get dist tgt <> null && Pq.finished_vertex pq tgt);
+            value_json =
+              (fun tgt -> Protocol.distance_json (Atomic_array.get dist tgt));
+          }))
 
 let run_widest_group t ~source members =
   with_snapshot t (fun snapshot ->
       let graph = Handle.csr snapshot in
-      let n = Csr.num_vertices graph in
-      let capacity = Atomic_array.make n 0 in
-      Atomic_array.set capacity source (max 1 (Csr.max_weight graph));
-      let pq =
-        Pq.create ~schedule:t.config.Config.schedule
-          ~num_workers:(Pool.num_workers t.pool)
-          ~direction:Bucket_order.Higher_first ~allow_coarsening:true
-          ~priorities:capacity ~initial:(Pq.Start_vertex source) ~pool:t.pool ()
-      in
-      let edge_fn ctx ~src ~dst ~weight =
-        let through = min (Atomic_array.get capacity src) weight in
-        Pq.update_priority_max pq ctx dst through
-      in
-      run_point_group t members ~snapshot ~pq ~graph ~edge_fn
-        ~dist_ready:(fun tgt ->
-          Atomic_array.get capacity tgt > 0 && Pq.finished_vertex pq tgt)
-        ~value_json:(fun tgt ->
-          Protocol.capacity_json (Atomic_array.get capacity tgt)))
+      run_point_group t members ~snapshot ~graph ~setup:(fun () ->
+          let capacity = Atomic_array.make (Csr.num_vertices graph) 0 in
+          Atomic_array.set capacity source (max 1 (Csr.max_weight graph));
+          let pq =
+            Pq.create ~schedule:t.config.Config.schedule
+              ~num_workers:(Pool.num_workers t.pool)
+              ~direction:Bucket_order.Higher_first ~allow_coarsening:true
+              ~priorities:capacity ~initial:(Pq.Start_vertex source)
+              ~pool:t.pool ()
+          in
+          {
+            pq;
+            edge_fn =
+              (fun ctx ~src ~dst ~weight ->
+                let through = min (Atomic_array.get capacity src) weight in
+                Pq.update_priority_max pq ctx dst through);
+            ready =
+              (fun tgt ->
+                Atomic_array.get capacity tgt > 0 && Pq.finished_vertex pq tgt);
+            value_json =
+              (fun tgt -> Protocol.capacity_json (Atomic_array.get capacity tgt));
+          }))
 
 let run_astar_group t ~source ~target members =
   with_snapshot t (fun snapshot ->

@@ -14,7 +14,8 @@
 type 'a t
 
 (** [create ~capacity ()] is an empty queue admitting at most [capacity]
-    items. Raises [Invalid_argument] when [capacity < 1]. *)
+    items. Raises [Invalid_argument] when [capacity < 1]. The queue holds
+    the two ends of a wake-up pipe, closed when it is garbage-collected. *)
 val create : capacity:int -> unit -> 'a t
 
 val capacity : 'a t -> int

@@ -273,6 +273,118 @@ let test_make_padded () =
     "to_array sees logical cells" [| 1; 2; 3 |]
     (Atomic_array.to_array (Atomic_array.of_array [| 1; 2; 3 |]))
 
+(* The cells are one flat int array: [make n] allocates its n words plus
+   a constant record, and nothing per cell (a boxed cell would add 2
+   minor words each). *)
+let test_atomic_flat_allocation () =
+  let n = 100_000 in
+  let words (s : Gc.stat) = s.minor_words +. s.major_words -. s.promoted_words in
+  (* The minor counters are exact only between minor collections, so each
+     measurement starts from an empty minor heap. [Gc.quick_stat]
+     allocates its own result; a control array of one cell measures that
+     and is subtracted. *)
+  let delta n =
+    Gc.minor ();
+    let before = Gc.quick_stat () in
+    let a = Atomic_array.make n 0 in
+    let after = Gc.quick_stat () in
+    Alcotest.(check int) "length" n (Atomic_array.length a);
+    (words after -. words before, after.minor_words -. before.minor_words)
+  in
+  let control, control_minor = delta 1 in
+  let total, minor = delta n in
+  let total = total -. control and minor = minor -. control_minor in
+  if total > float_of_int (n + 64) then
+    Alcotest.failf "make %d allocated %.0f words, want <= n + 64" n total;
+  if minor > float_of_int (n / 2) then
+    Alcotest.failf "make %d allocated %.0f minor words" n minor
+
+(* fetch_add works on tagged words in C; it must agree with OCaml's own
+   wrapping [+] everywhere, including negative deltas and both ends of the
+   int range. *)
+let test_atomic_fetch_add_edges () =
+  let cases =
+    [
+      (0, -5); (-5, 3); (max_int, 1); (min_int, -1); (max_int, max_int);
+      (min_int, min_int); (0, min_int); (-1, max_int); (17, 0);
+    ]
+  in
+  List.iter
+    (fun (start, d) ->
+      let a = Atomic_array.make_padded 2 0 in
+      Atomic_array.set a 1 start;
+      let label = Printf.sprintf "%d + %d" start d in
+      Alcotest.(check int) (label ^ " returns old") start
+        (Atomic_array.fetch_add a 1 d);
+      Alcotest.(check int) (label ^ " wraps like +") (start + d)
+        (Atomic_array.get a 1);
+      Alcotest.(check int) (label ^ " neighbour untouched") 0
+        (Atomic_array.get a 0))
+    cases;
+  let a = Atomic_array.make 1 min_int in
+  Alcotest.(check bool) "cas on min_int" true
+    (Atomic_array.compare_and_set a 0 ~expected:min_int ~desired:max_int);
+  Alcotest.(check bool) "stale cas fails" false
+    (Atomic_array.compare_and_set a 0 ~expected:min_int ~desired:0);
+  Alcotest.(check int) "cas value" max_int (Atomic_array.get a 0)
+
+let test_atomic_padded_round_trips () =
+  let src = [| 5; -1; max_int; min_int; 0; 42 |] in
+  let a = Atomic_array.make_padded (Array.length src) 9 in
+  Atomic_array.blit_from a src;
+  Alcotest.(check (array int)) "blit_from then to_array" src
+    (Atomic_array.to_array a);
+  Array.iteri
+    (fun i v -> Alcotest.(check int) "get sees blitted cell" v (Atomic_array.get a i))
+    src;
+  Alcotest.(check (array int)) "of_array (to_array padded)" src
+    (Atomic_array.to_array (Atomic_array.of_array (Atomic_array.to_array a)));
+  let copy = Atomic_array.to_array a in
+  Atomic_array.set a 0 7;
+  Alcotest.(check int) "to_array is a snapshot" 5 copy.(0);
+  Alcotest.check_raises "blit_from length mismatch"
+    (Invalid_argument "Atomic_array.blit_from: length mismatch") (fun () ->
+      Atomic_array.blit_from a [| 1 |])
+
+let test_atomic_concurrent_add_with_floor () =
+  let start = 10_000 and floor = 100 in
+  let a = Atomic_array.make 1 start in
+  let changes = Atomic.make 0 in
+  Pool.with_pool ~num_workers:4 (fun pool ->
+      Pool.run_workers pool (fun _ ->
+          for _ = 1 to 5_000 do
+            match Atomic_array.add_with_floor a 0 ~delta:(-1) ~floor with
+            | Some (old, now) ->
+                if now <> old - 1 || now < floor then
+                  failwith "add_with_floor skipped or crossed the floor";
+                ignore (Atomic.fetch_and_add changes 1)
+            | None -> ()
+          done));
+  Alcotest.(check int) "ends exactly at the floor" floor (Atomic_array.get a 0);
+  Alcotest.(check int) "one change per unit above the floor" (start - floor)
+    (Atomic.get changes)
+
+(* The race detector's shadow is indexed by logical cell, also on a
+   padded array whose cells are spread a cache line apart. *)
+let test_atomic_race_detector_flat () =
+  Parallel.Race.clear ();
+  Parallel.Race.enable ();
+  Fun.protect ~finally:Parallel.Race.disable (fun () ->
+      let a = Atomic_array.make_padded 3 0 in
+      Pool.with_pool ~num_workers:2 (fun pool ->
+          Pool.run_workers pool (fun tid ->
+              for _ = 1 to 10_000 do
+                Atomic_array.set a 2 tid
+              done));
+      Alcotest.(check bool) "cross-worker set reported" true
+        (Parallel.Race.num_findings () > 0);
+      List.iter
+        (fun (f : Parallel.Race.finding) ->
+          Alcotest.(check int) "names the array" (Atomic_array.id a) f.array_id;
+          Alcotest.(check int) "logical slot" 2 f.slot)
+        (Parallel.Race.findings ()));
+  Parallel.Race.clear ()
+
 let qcheck_drain_to_array_matches_drain =
   QCheck.Test.make ~name:"Update_buffer.drain_to_array = drain" ~count:50
     QCheck.(tup2 (int_range 1 4) (list_of_size (Gen.int_range 0 5000) (int_bound 999)))
@@ -341,6 +453,15 @@ let () =
           Alcotest.test_case "concurrent fetch_add" `Quick
             test_atomic_concurrent_fetch_add;
           Alcotest.test_case "make_padded" `Quick test_make_padded;
+          Alcotest.test_case "flat allocation" `Quick test_atomic_flat_allocation;
+          Alcotest.test_case "fetch_add tagged edges" `Quick
+            test_atomic_fetch_add_edges;
+          Alcotest.test_case "padded round trips" `Quick
+            test_atomic_padded_round_trips;
+          Alcotest.test_case "concurrent add_with_floor" `Quick
+            test_atomic_concurrent_add_with_floor;
+          Alcotest.test_case "race detector on flat cells" `Quick
+            test_atomic_race_detector_flat;
         ] );
       ( "update_buffer",
         [ QCheck_alcotest.to_alcotest qcheck_drain_to_array_matches_drain ] );

@@ -59,6 +59,48 @@ let test_queue_cross_thread () =
   Thread.join producer;
   Alcotest.(check (list int)) "all items in order" (List.init 50 (fun i -> i + 1)) !got
 
+(* A consumer blocked with a long timeout must return as soon as an item
+   arrives, not at the next poll slice: the batcher's idle wait is pure
+   latency for a lone client. *)
+let test_queue_push_wakes () =
+  let q = Request_queue.create ~capacity:4 () in
+  let lat =
+    Array.init 25 (fun i ->
+        let pushed_at = Atomic.make 0. in
+        let producer =
+          Thread.create
+            (fun () ->
+              Thread.delay 0.002;
+              Atomic.set pushed_at (Unix.gettimeofday ());
+              ignore (Request_queue.try_push q i))
+            ()
+        in
+        let got = Request_queue.pop_batch q ~max:4 ~timeout_s:1.0 in
+        let returned_at = Unix.gettimeofday () in
+        Thread.join producer;
+        Alcotest.(check (list int)) "the pushed item" [ i ] got;
+        returned_at -. Atomic.get pushed_at)
+  in
+  Array.sort compare lat;
+  let median = lat.(Array.length lat / 2) in
+  if median >= 0.005 then
+    Alcotest.failf "median push-to-pop latency %.2f ms, want < 5 ms"
+      (median *. 1000.);
+  let closer =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.005;
+        Request_queue.close q)
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let got = Request_queue.pop_batch q ~max:4 ~timeout_s:1.0 in
+  let waited = Unix.gettimeofday () -. t0 in
+  Thread.join closer;
+  Alcotest.(check (list int)) "closed and empty" [] got;
+  if waited >= 0.5 then
+    Alcotest.failf "close woke the consumer after %.0f ms" (waited *. 1000.)
+
 (* ---------------- protocol ---------------- *)
 
 let test_protocol_roundtrip () =
@@ -915,6 +957,8 @@ let () =
         [
           Alcotest.test_case "bounded admission" `Quick test_queue_admission;
           Alcotest.test_case "cross-thread" `Quick test_queue_cross_thread;
+          Alcotest.test_case "push and close wake a blocked pop" `Quick
+            test_queue_push_wakes;
         ] );
       ( "protocol",
         [
